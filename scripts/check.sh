@@ -2,8 +2,8 @@
 #
 # Tier-1 verification: build and run the full test suite twice, once plain
 # and once under ASan+UBSan (-DGIS_SANITIZE=address,undefined), then run
-# the multi-threaded suites -- the batch-compilation engine and the
-# region-parallel scheduler (ctest label "parallel") -- under TSan
+# the multi-threaded suites -- the batch-compilation engine (ctest label
+# "parallel") and the suites that drive it -- under TSan
 # (-DGIS_SANITIZE=thread; TSan and ASan cannot share a build), and
 # finally the cold-path equivalence suite (label "perf-equiv") in a
 # -DGIS_SLOWPATH_CHECK=ON build where the incremental scheduler
@@ -37,13 +37,11 @@ run_suite "$ROOT/build-san" -DGIS_SANITIZE=address,undefined
 
 echo "== sanitized build (thread): parallel + obs + regalloc + persist + opt + perf-equiv + trace suites =="
 build_tree "$ROOT/build-tsan" -DGIS_SANITIZE=thread
-# The "parallel" label covers gis_parallel_tests: the batch engine, the
-# thread pool / cache / hashing units, and the region-parallel scheduling
-# determinism tests (tests/region_parallel_test.cpp).  The "obs" label
-# covers gis_obs_tests: the event tracer records from region worker
-# threads and the counter/decision buffers merge across them, so the
-# observability suite runs under TSan too (it is already part of the full
-# ASan run above).  The "regalloc" label covers gis_regalloc_tests: the
+# The "parallel" label covers gis_parallel_tests: the batch engine and
+# the thread pool / cache / hashing units.  The "obs" label covers
+# gis_obs_tests: the event tracer is process-global and records from
+# engine worker threads, so the observability suite runs under TSan too
+# (it is already part of the full ASan run above).  The "regalloc" label covers gis_regalloc_tests: the
 # allocator rewrites functions that engine worker threads compile
 # concurrently and its cache test shares one ScheduleCache across
 # engines, so it runs under TSan as well.  The "persist" label covers
@@ -53,19 +51,20 @@ build_tree "$ROOT/build-tsan" -DGIS_SANITIZE=thread
 # The "opt" label covers gis_opt_tests: the optimizer suite drives
 # engines whose workers compile optimized modules concurrently and its
 # cache-isolation test shares memory and disk tiers across -O levels.
-# The "perf-equiv" label covers gis_coldpath_tests: the incremental
-# scheduler's per-region state is built and torn down on region worker
-# threads, so the equivalence fuzz runs under TSan too.  The "trace"
-# label covers gis_trace_tests: tail-duplicated functions are scheduled
-# through the region-parallel wave machinery (its determinism test runs
-# --region-jobs 4), so the superblock suite runs under TSan as well.
+# The "perf-equiv" (gis_coldpath_tests) and "trace" (gis_trace_tests)
+# labels start no threads of their own now that a function's region
+# waves run serially; they stay in this stage so that a thread added to
+# the scheduling path later is checked from its first run.
 ctest --test-dir "$ROOT/build-tsan" --output-on-failure -L 'parallel|obs|regalloc|persist|opt|perf-equiv|trace'
 
 echo "== slowpath-check build (GIS_SLOWPATH_CHECK=ON): perf-equiv suite =="
 # The incremental cold path re-derives every liveness set, heuristic
 # value and per-cycle ready list from scratch and fatal-errors on any
 # divergence (DESIGN.md section 14); the equivalence suite then checks
-# the fast path pick by pick, not just end to end.
+# the fast path pick by pick, not just end to end.  This is also the only
+# stage where every in-place region task dual-runs the block-scoped and
+# the full schedule verifier and every cached disambiguation fact is
+# cross-checked against a fresh solve.
 build_tree "$ROOT/build-slowcheck" -DGIS_SLOWPATH_CHECK=ON
 ctest --test-dir "$ROOT/build-slowcheck" --output-on-failure -L 'perf-equiv'
 

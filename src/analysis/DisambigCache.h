@@ -11,24 +11,25 @@
 ///
 ///  - the all-pairs reachability closure of a region's forward graph,
 ///    keyed by a 128-bit content hash of the graph's edges.  Scheduling
-///    never changes region shape, so the local pass, the global pass and
-///    every `--region-jobs` slice of one function hit the same entry;
+///    never changes region shape, so the local pass and the global passes
+///    over one function hit the same entry;
 ///    the content key makes entries self-validating (no invalidation
 ///    protocol, stale content simply never matches);
 ///
 ///  - the function-wide facts MemDisambiguator derives (owning block and
 ///    position of every instruction, single static definitions, the
 ///    function dominator tree), shared under an explicit epoch.  Every
-///    phase that consumes the facts bumps the epoch on entry
-///    (noteFunctionChanged) because earlier phases moved code; within a
-///    phase the facts stay valid, except that the local scheduler's
+///    consumer bumps the epoch on entry (noteFunctionChanged) because
+///    earlier work moved code -- the local scheduler once per pass, the
+///    global passes once per region, since the regions of a wave are
+///    scheduled in place one after another; within that scope the facts
+///    stay valid, except that the local scheduler's
 ///    intra-block reorders patch positions in place (notePosChanged) --
 ///    such reorders change only PosOf, never BlockOf, SingleDef or
 ///    dominance.
 ///
-/// The cache is mutex-guarded: `--region-jobs` worker tasks share it
-/// while scheduling private forks of the same base function, so whichever
-/// task builds an entry first, the content is identical.
+/// The cache is mutex-guarded, so one instance may be shared across
+/// threads; a pipeline run itself uses its cache from one thread.
 ///
 /// Under -DGIS_SLOWPATH_CHECK=ON every hit is cross-checked against a
 /// fresh solve and any divergence is a fatal error.

@@ -202,21 +202,13 @@ bool LivenessSlice::isLiveIn(BlockId B, Reg R) const {
   return LiveIns[slotOf(B)].test(denseIndex(R));
 }
 
-RegionSlice RegionSlice::build(const Function &F, SchedRegion R) {
-  return build(F, std::move(R), Liveness::compute(F));
-}
-
 RegionSlice RegionSlice::build(const Function &F, SchedRegion R,
                                const Liveness &WholeLV) {
   RegionSlice S;
   S.LV = LivenessSlice::build(F, R, WholeLV);
-  S.CD = ControlDeps::compute(R);
   for (const RegionNode &N : R.nodes())
-    if (N.isBlock()) {
+    if (N.isBlock())
       S.Blocks.push_back(N.Block);
-      for (InstrId Id : F.block(N.Block).instrs())
-        S.Instrs.push_back(Id);
-    }
   S.R = std::move(R);
   return S;
 }

@@ -6,38 +6,29 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A self-contained analysis slice of one scheduling region: the blocks and
-/// instructions the region owns, plus region-local dominator, CSPDG and
-/// liveness views.  The slice is the unit of region-parallel scheduling
-/// (sched/Pipeline.cpp): every analysis a region task consults is either
-/// region-local or frozen at slice-build time, so independent regions of
-/// one function can be scheduled concurrently without reading each other's
-/// in-flight state.
+/// The analysis slice of one scheduling region: the region shape, the
+/// blocks the region owns and a region-restricted liveness view.  The
+/// pipeline builds every slice of a region wave (sched/Pipeline.cpp) from
+/// the wave-start liveness before any region of the wave moves code, and
+/// the global scheduler keeps its live-on-exit sets on the slice, so each
+/// re-solve touches only the region's blocks.
 ///
-/// Why the restricted views are exact (not approximations):
-///  - Dominators: for two blocks of the same region, dominance on the
-///    region's acyclic forward graph coincides with dominance on the full
-///    CFG -- a reducible loop is entered only through its header, so any
-///    CFG path between two region blocks that leaves the region re-enters
-///    at the entry, which the forward graph models by construction.
-///  - Liveness: the region's live sets satisfy the whole-function dataflow
-///    equations with the live-in sets of out-of-region successor blocks
-///    substituted as constants (the "frozen boundary").  The boundary
-///    stays exact while only this region is edited under the scheduler's
-///    legality rules: upward motion cannot cross a reaching definition
-///    (flow dependence), so no frozen live-in set changes.
-///  - CSPDG: control dependences are already region-local by definition
-///    (computed on the region forward graph, paper Section 4.1).
+/// Why the restricted liveness is exact (not an approximation): the
+/// region's live sets satisfy the whole-function dataflow equations with
+/// the live-in sets of out-of-region successor blocks substituted as
+/// constants (the "frozen boundary").  The boundary stays exact while only
+/// this region is edited under the scheduler's legality rules: upward
+/// motion cannot cross a reaching definition (flow dependence), so no
+/// frozen live-in set changes.
 ///
-/// `tests/region_parallel_test.cpp` property-checks all three equivalences
-/// against whole-function analyses over the random-program corpus.
+/// `tests/region_slice_test.cpp` property-checks the equivalence against
+/// whole-function liveness over the random-program corpus.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GIS_ANALYSIS_REGIONSLICE_H
 #define GIS_ANALYSIS_REGIONSLICE_H
 
-#include "analysis/ControlDeps.h"
 #include "analysis/Liveness.h"
 #include "analysis/Region.h"
 
@@ -141,17 +132,13 @@ private:
 };
 
 /// One region's schedulable slice: an owning snapshot of the region shape
-/// (SchedRegion), the blocks/instructions it owns, and the region-local
-/// dominator, CSPDG and liveness views.
+/// (SchedRegion), the blocks it owns and its region-restricted liveness.
 class RegionSlice {
 public:
   RegionSlice() = default;
 
   /// Builds the slice for \p R (which must have been built on \p F in its
-  /// current state).  The overload without \p WholeLV computes the
-  /// whole-function liveness itself; pass it in when building slices for
-  /// several regions of one function.
-  static RegionSlice build(const Function &F, SchedRegion R);
+  /// current state), freezing the liveness boundary from \p WholeLV.
   static RegionSlice build(const Function &F, SchedRegion R,
                            const Liveness &WholeLV);
 
@@ -162,17 +149,7 @@ public:
   /// The region's real blocks, in layout order.
   const std::vector<BlockId> &blocks() const { return Blocks; }
 
-  /// Ids of the instructions the region owned at build time.
-  const std::vector<InstrId> &instrs() const { return Instrs; }
-
   bool ownsBlock(BlockId B) const { return LV.ownsBlock(B); }
-
-  /// Region-local control dependences (the CSPDG).
-  const ControlDeps &cspdg() const { return CD; }
-
-  /// Dominators / postdominators of the region forward graph.
-  const DomTree &dom() const { return CD.dom(); }
-  const PostDomTree &postDom() const { return CD.postDom(); }
 
   /// Region-restricted liveness (frozen boundary; see LivenessSlice).
   const LivenessSlice &liveness() const { return LV; }
@@ -180,8 +157,6 @@ public:
 private:
   SchedRegion R;
   std::vector<BlockId> Blocks;
-  std::vector<InstrId> Instrs;
-  ControlDeps CD;
   LivenessSlice LV;
 };
 

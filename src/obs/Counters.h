@@ -12,7 +12,7 @@
 /// and the transactional/caching machinery.  A CounterSet is a plain
 /// value: schedulers bump a private set, the pipeline merges committed
 /// deltas in deterministic (region-index, then input) order, so totals are
-/// exact for every --jobs/--region-jobs width -- the same discipline
+/// exact for every --jobs width -- the same discipline
 /// PipelineStats already follows.
 ///
 /// Rule-win accounting: when an instruction is picked from a ready list

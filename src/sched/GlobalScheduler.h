@@ -104,18 +104,17 @@ public:
   /// With \p Err null such failures abort, preserving the historical
   /// fail-fast contract for direct callers without a transaction layer.
   ///
-  /// With \p Slice non-null (a RegionSlice built on \p F in its current
-  /// state for this same region), the Section 5.3 live-on-exit guard uses
-  /// the slice's region-restricted liveness instead of whole-function
+  /// With \p Slice non-null (a RegionSlice of this same region, built at
+  /// the start of its wave), the Section 5.3 live-on-exit guard uses the
+  /// slice's region-restricted liveness instead of whole-function
   /// liveness: recomputation after a motion or rename then touches only
-  /// the region's blocks, and -- the point of the slice -- the scheduler
-  /// reads nothing outside the region, so disjoint regions of one function
-  /// can be scheduled concurrently (sched/Pipeline.cpp).
+  /// the region's blocks, and the out-of-region boundary stays the one
+  /// frozen at the wave start (sched/Pipeline.cpp).
   ///
   /// \p Sink optionally collects observability counters and per-pick
-  /// decision records (src/obs/).  The buffers belong to the caller; with
-  /// region parallelism each task passes private buffers that the wave
-  /// merges deterministically.
+  /// decision records (src/obs/).  The buffers belong to the caller; the
+  /// pipeline passes per-region buffers and merges them only when the
+  /// region's transaction commits.
   ///
   /// With \p OutPDG non-null the PDG this pass scheduled against (built on
   /// \p F *before* any motion) is exported -- a cheap three-shared-ptr

@@ -17,12 +17,10 @@
 #include "sched/Transaction.h"
 #include "sched/Unroll.h"
 #include "support/FaultInjection.h"
-#include "support/ThreadPool.h"
 #include "trace/TailDuplication.h"
 #include "trace/TraceFormation.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <functional>
 #include <map>
@@ -60,49 +58,28 @@ struct TxContext {
   DisambigCache *Cache = nullptr;
 };
 
-/// Runs one whole-function transform as a transaction: snapshot,
-/// transform, verify, commit or roll back.  Region scheduling does not
-/// come through here -- it uses the region-local transaction boundary of
-/// scheduleRegionWave below, which rolls back a single region instead of
-/// the whole function.
-///
-/// \param Stage    stable stage name ("prerename", "unroll", "rotate",
-///                 "duplicate", "local"); also the fault injection trigger
-///                 point (GIS_FAULT_INJECT).
-/// \param LoopIdx  region loop index for diagnostics (-1: whole function).
-/// \param Body     the transform.  Records its statistics into the passed
-///                 delta (merged into Ctx.Stats only on commit) and
-///                 reports recoverable failures through its return Status.
-/// \param RegionScoped controls which rollback counter a failure bumps.
-///
-/// Returns true when the transaction committed.  With transactions
-/// disabled the body runs bare: no snapshot, no verification, and a failure
-/// Status aborts (the historical fail-fast contract).
-bool runTransaction(TxContext &Ctx, const char *Stage, int LoopIdx,
-                    const std::function<Status(PipelineStats &)> &Body,
-                    bool RegionScoped) {
-  obs::TraceSpan StageSpan(Stage, "stage", "loop",
-                           static_cast<int64_t>(LoopIdx));
-  if (!Ctx.Opts.EnableTransactions) {
-    TransactionConfig Cfg;
-    Cfg.Enabled = false;
-    PipelineStats Delta;
-    runFunctionTransaction(Ctx.F, Stage, Cfg,
-                           [&] { return Body(Delta); });
-    Ctx.Stats += Delta;
-    return true;
-  }
-
-  ++Ctx.Stats.TransactionsRun;
+/// The guards of the pipeline's transactions (see the PipelineOptions
+/// fields of the same names).
+TransactionConfig txConfig(const PipelineOptions &Opts) {
   TransactionConfig Cfg;
-  Cfg.VerifyStructural = Ctx.Opts.VerifyStructural;
-  Cfg.EnableOracle = Ctx.Opts.EnableOracle;
-  Cfg.OracleModule = Ctx.Opts.OracleModule;
-  Cfg.OracleMaxSteps = Ctx.Opts.OracleMaxSteps;
+  Cfg.Enabled = Opts.EnableTransactions;
+  Cfg.VerifyStructural = Opts.VerifyStructural;
+  Cfg.EnableOracle = Opts.EnableOracle;
+  Cfg.OracleModule = Opts.OracleModule;
+  Cfg.OracleMaxSteps = Opts.OracleMaxSteps;
+  return Cfg;
+}
 
-  PipelineStats Delta;
-  TransactionResult R =
-      runFunctionTransaction(Ctx.F, Stage, Cfg, [&] { return Body(Delta); });
+/// Books the outcome of one finished transaction into Ctx.Stats, for every
+/// kind of transaction the pipeline runs (whole-function, delta and region
+/// tasks): the failure counters always; on commit the body's statistics
+/// \p Delta; on rollback the rollback counter of its scope, the obs
+/// rollback counter, a trace instant and a diagnostic -- the body's
+/// counters and decisions are dropped with it, so observability reports
+/// committed work only.  Returns R.Committed.
+bool recordTransaction(TxContext &Ctx, const TransactionResult &R,
+                       const PipelineStats &Delta, const char *Stage,
+                       int LoopIdx, bool RegionScoped) {
   if (R.EngineFailure)
     ++Ctx.Stats.EngineFailures;
   if (R.FaultInjected)
@@ -127,6 +104,37 @@ bool runTransaction(TxContext &Ctx, const char *Stage, int LoopIdx,
                                   static_cast<int64_t>(LoopIdx));
   reportDiagnostic(Ctx.Stats.Diags, R.S, Ctx.F.name(), Stage, LoopIdx);
   return false;
+}
+
+/// Runs one whole-function transform as a transaction: snapshot,
+/// transform, verify, commit or roll back.  Region scheduling does not
+/// come through here -- it uses the region-local transaction boundary of
+/// scheduleRegionTask below, which rolls back a single region instead of
+/// the whole function.
+///
+/// \param Stage    stable stage name ("prerename", "unroll", "rotate",
+///                 "duplicate", "local"); also the fault injection trigger
+///                 point (GIS_FAULT_INJECT).
+/// \param LoopIdx  region loop index for diagnostics (-1: whole function).
+/// \param Body     the transform.  Records its statistics into the passed
+///                 delta (merged into Ctx.Stats only on commit) and
+///                 reports recoverable failures through its return Status.
+/// \param RegionScoped controls which rollback counter a failure bumps.
+///
+/// Returns true when the transaction committed.  With transactions
+/// disabled the body runs bare: no snapshot, no verification, and a failure
+/// Status aborts (the historical fail-fast contract).
+bool runTransaction(TxContext &Ctx, const char *Stage, int LoopIdx,
+                    const std::function<Status(PipelineStats &)> &Body,
+                    bool RegionScoped) {
+  obs::TraceSpan StageSpan(Stage, "stage", "loop",
+                           static_cast<int64_t>(LoopIdx));
+  if (Ctx.Opts.EnableTransactions)
+    ++Ctx.Stats.TransactionsRun;
+  PipelineStats Delta;
+  TransactionResult R = runFunctionTransaction(
+      Ctx.F, Stage, txConfig(Ctx.Opts), [&] { return Body(Delta); });
+  return recordTransaction(Ctx, R, Delta, Stage, LoopIdx, RegionScoped);
 }
 
 /// Delta variant of runTransaction for whole-function transforms whose
@@ -151,82 +159,36 @@ bool runDeltaTransaction(
   obs::TraceSpan StageSpan(Stage, "stage", "loop",
                            static_cast<int64_t>(LoopIdx));
   ++Ctx.Stats.TransactionsRun;
-  TransactionConfig Cfg;
-  Cfg.VerifyStructural = Ctx.Opts.VerifyStructural;
-  Cfg.EnableOracle = Ctx.Opts.EnableOracle;
-  Cfg.OracleModule = Ctx.Opts.OracleModule;
-  Cfg.OracleMaxSteps = Ctx.Opts.OracleMaxSteps;
-
   PipelineStats Delta;
   DeltaCheckpoint Ck(Ctx.F, /*Armed=*/true);
-  TransactionResult R = runFunctionTransactionDelta(
-      Ctx.F, Stage, Cfg, Ck, [&] { return Body(Delta, Ck); });
+  TransactionResult R =
+      runFunctionTransactionDelta(Ctx.F, Stage, txConfig(Ctx.Opts), Ck,
+                                  [&] { return Body(Delta, Ck); });
   if (Ctx.Opts.CollectCounters)
     Ctx.Stats.Counters.bump(obs::ColdCkptBytes, Ck.bytesSaved());
-  if (R.EngineFailure)
-    ++Ctx.Stats.EngineFailures;
-  if (R.FaultInjected)
-    ++Ctx.Stats.FaultsInjected;
-  if (R.VerifierFailure)
-    ++Ctx.Stats.VerifierFailures;
-  if (R.OracleMismatch)
-    ++Ctx.Stats.OracleMismatches;
-
-  if (R.Committed) {
-    Ctx.Stats += Delta;
-    return true;
-  }
-
-  if (RegionScoped)
-    ++Ctx.Stats.RegionsRolledBack;
-  else
-    ++Ctx.Stats.TransformsRolledBack;
-  if (Ctx.Opts.CollectCounters)
-    Ctx.Stats.Counters.bump(obs::Rollbacks);
-  obs::Tracer::instance().instant("rollback", "tx", "loop",
-                                  static_cast<int64_t>(LoopIdx));
-  reportDiagnostic(Ctx.Stats.Diags, R.S, Ctx.F.name(), Stage, LoopIdx);
-  return false;
+  return recordTransaction(Ctx, R, Delta, Stage, LoopIdx, RegionScoped);
 }
 
 //===----------------------------------------------------------------------===
-// Region-parallel scheduling (the region dependence forest)
+// Region waves (the region dependence forest)
 //===----------------------------------------------------------------------===
 //
 // Two regions of one function conflict exactly when one encloses the other:
 // the enclosing region reads the enclosed loop's blocks through its summary
 // nodes (SummaryDefs/SummaryUses), and "shares" no block otherwise --
 // regions partition the function's blocks.  The dependence structure is
-// therefore the loop forest itself, and its levels are the parallel waves:
-// all loops of equal forest height are pairwise disjoint and independent,
+// therefore the loop forest itself, and its levels are the waves: all
+// loops of equal forest height are pairwise disjoint and independent,
 // while a parent must wait for its children's commits.  The top-level
 // region runs as the final wave of the second pass.
 //
-// Execution model (RegionJobs > 1): each wave forks the function once
-// ("Base"); every region task copies Base, schedules its region there
-// against its RegionSlice, and verifies the copy.  The serial merge then
-// walks tasks in region-index order: a failed task's copy is simply
-// dropped (the region-local rollback -- siblings are unaffected), a
-// successful task's region blocks are committed into the master function
-// via RegionSnapshot::applyTo, with registers the task allocated (renames)
-// renumbered into the master's counter space in that same deterministic
-// order.  A task never reads outside its slice, and the merge order is
-// independent of thread interleaving, so the output is bit-identical for
-// every RegionJobs value.
-
-/// One region task of a wave.
-struct RegionTask {
-  int LoopIdx = -1;
-  RegionSlice Slice;
-  Function Priv{""}; ///< the task's private copy of the wave-base function
-  PipelineStats Delta; ///< body statistics, merged only on commit
-  Status S;
-  bool FaultInjected = false;
-  unsigned EngFailures = 0;
-  unsigned VerFailures = 0;
-  unsigned OracleFailures = 0;
-  double Seconds = 0;
-};
+// Execution model: the regions of a wave are scheduled one after another,
+// in region-index order, in place on the function.  Each is its own
+// region-scoped transaction (scheduleRegionTask): a failed region is
+// restored from its RegionSnapshot while the siblings' commits stay.  All
+// slices of a wave are built from the wave-start liveness, so a region's
+// frozen out-of-region boundary does not depend on which siblings ran or
+// committed before it (DESIGN.md section 8).
 
 /// Forest height of every loop (leaves are 0); children therefore always
 /// sit in a strictly earlier wave than their parent.
@@ -238,6 +200,144 @@ std::vector<unsigned> loopHeights(const LoopInfo &LI) {
   return H;
 }
 
+/// Schedules one region of wave \p WaveNo in place as a region-scoped
+/// transaction: snapshot the region, schedule it against its slice, pass
+/// the result through the fault injector, the structural and semantic
+/// verifiers and the oracle, then commit or restore the region.
+///
+/// Semantic verification is block-scoped: it reads the pre-pass region
+/// from the snapshot and a capture, and reuses the PDG the scheduler
+/// built.  The reference mode (--no-incremental) instead runs the full
+/// sweep against a whole pre-task copy of the function and builds its own
+/// PDG; that copy is also the oracle's reference.  The
+/// GIS_SLOWPATH_CHECK build runs both verifiers on every task and
+/// fatal-errors unless they agree.
+void scheduleRegionTask(TxContext &Ctx, const RegionSlice &Slice,
+                        const GlobalSchedOptions &GOpts, unsigned WaveNo) {
+  const PipelineOptions &Opts = Ctx.Opts;
+  const int LoopIdx = Slice.region().loopIndex();
+  obs::TraceSpan RegionSpan("region", "region", "loop",
+                            static_cast<int64_t>(LoopIdx), "wave",
+                            static_cast<int64_t>(WaveNo));
+  auto Start = std::chrono::steady_clock::now();
+
+  // Earlier transforms (unroll, rotate, earlier regions' commits) moved
+  // code since the cache last saw this function; start a fresh facts
+  // epoch.
+  if (Ctx.Cache)
+    Ctx.Cache->noteFunctionChanged();
+
+  const bool Transactional = Opts.EnableTransactions;
+  const bool VerifySemantic = Transactional && Opts.VerifySemantic;
+  const bool RunOracle =
+      Transactional && Opts.EnableOracle && Opts.OracleModule;
+#ifdef GIS_SLOWPATH_CHECK
+  const bool WantScoped = VerifySemantic;
+  const bool WantFull = VerifySemantic;
+#else
+  const bool WantScoped = VerifySemantic && Opts.Incremental;
+  const bool WantFull = VerifySemantic && !Opts.Incremental;
+#endif
+
+  std::unique_ptr<Function> Pre;
+  if (WantFull || RunOracle)
+    Pre = std::make_unique<Function>(Ctx.F);
+  ScopedVerifyContext VCtx;
+  if (WantScoped)
+    VCtx = ScopedVerifyContext::capture(Ctx.F, Slice.region());
+  std::unique_ptr<RegionSnapshot> Snap;
+  if (Transactional)
+    Snap = std::make_unique<RegionSnapshot>(Ctx.F, Slice.blocks());
+
+  GlobalScheduler GS(Ctx.MD, GOpts);
+  PipelineStats Delta;
+  obs::SchedSink Sink;
+  if (Opts.CollectCounters)
+    Sink.Counters = &Delta.Counters;
+  if (Opts.CollectDecisions)
+    Sink.Decisions = &Delta.Decisions;
+  TransactionResult R;
+  PDG P;
+  // With Err == nullptr scheduleRegion aborts on failure (the historical
+  // fail-fast contract), so R.S can only turn bad in a transaction.
+  Delta.Global += GS.scheduleRegion(Ctx.F, Slice.region(),
+                                    Transactional ? &R.S : nullptr, &Slice,
+                                    Sink, WantScoped ? &P : nullptr);
+  if (Transactional) {
+    if (!R.S.isOk())
+      R.EngineFailure = true;
+    if (R.S.isOk() && FaultInjector::instance().shouldFire("region") &&
+        corruptRegionForTest(Ctx.F, Slice.blocks()))
+      R.FaultInjected = true;
+    if (R.S.isOk() && Opts.VerifyStructural) {
+      std::vector<std::string> Problems = verifyFunction(Ctx.F);
+      if (!Problems.empty()) {
+        R.S = Status::error(ErrorCode::VerifierStructural, Problems.front());
+        R.VerifierFailure = true;
+      }
+    }
+    if (R.S.isOk() && VerifySemantic) {
+      std::vector<std::string> Problems;
+      if (Opts.Incremental) {
+        ScopedVerifyStats VS;
+        Problems = verifyRegionScheduleScoped(VCtx, *Snap, Ctx.F,
+                                              Slice.region(), Ctx.MD, P, &VS);
+        if (Opts.CollectCounters) {
+          Delta.Counters.bump(obs::ColdVerifyBlocksScoped, VS.BlocksVerified);
+          Delta.Counters.bump(obs::ColdVerifyBlocksTotal, VS.BlocksTotal);
+        }
+      } else {
+        Problems = verifyRegionSchedule(*Pre, Ctx.F, Slice.region(), Ctx.MD);
+      }
+#ifdef GIS_SLOWPATH_CHECK
+      // Dual run: the other verifier must agree -- same verdict,
+      // byte-identical diagnostics.
+      std::vector<std::string> Other =
+          Opts.Incremental
+              ? verifyRegionSchedule(*Pre, Ctx.F, Slice.region(), Ctx.MD, &P)
+              : verifyRegionScheduleScoped(VCtx, *Snap, Ctx.F,
+                                           Slice.region(), Ctx.MD, P);
+      if (Other != Problems)
+        fatalError(__FILE__, __LINE__,
+                   "slow-path check: scoped schedule verifier diverges "
+                   "from the full sweep");
+#endif
+      if (!Problems.empty()) {
+        R.S = Status::error(ErrorCode::VerifierSemantic, Problems.front());
+        R.VerifierFailure = true;
+      }
+    }
+    if (R.S.isOk() && RunOracle) {
+      OracleOptions OOpts;
+      OOpts.MaxSteps = Opts.OracleMaxSteps;
+      OracleReport Rep =
+          runDifferentialOracle(*Opts.OracleModule, *Pre, Ctx.F, OOpts);
+      if (Rep.Verdict == OracleVerdict::Mismatch) {
+        R.S = Status::error(ErrorCode::OracleMismatch, Rep.Detail);
+        R.OracleMismatch = true;
+      }
+    }
+  }
+  R.Committed = R.S.isOk();
+  // Region-local rollback, in place: the region's block lists, pool
+  // entries and the register counters come back from the snapshot;
+  // siblings committed earlier in the wave are untouched.
+  if (!R.Committed)
+    Snap->restore(Ctx.F);
+
+  if (Transactional)
+    ++Ctx.Stats.TransactionsRun;
+  Ctx.Stats.RegionTimes.push_back(
+      {LoopIdx, WaveNo,
+       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
+           .count()});
+  for (obs::Decision &D : Delta.Decisions) {
+    D.LoopIdx = LoopIdx;
+    D.Wave = WaveNo;
+  }
+  recordTransaction(Ctx, R, Delta, "region", LoopIdx, /*RegionScoped=*/true);
+}
+
 /// Schedules one wave of mutually independent, pre-built regions.  Shared
 /// by the loop-forest waves (scheduleRegionWave below, which builds the
 /// regions from loop indices) and the superblock phase (whose trace
@@ -245,15 +345,12 @@ std::vector<unsigned> loopHeights(const LoopInfo &LI) {
 /// identified by its region's loopIndex() -- a real loop index, -1 for
 /// the top-level region, or a trace encoding (<= -2) -- used only for
 /// diagnostics and timing records.
-void scheduleRegionWavePrebuilt(
-    TxContext &Ctx, std::vector<SchedRegion> Regions,
-    const std::function<ThreadPool *(size_t)> &PoolFor) {
-  const bool Transactional = Ctx.Opts.EnableTransactions;
-
-  // Serial setup on the master function: size limits, slices.  The
-  // whole-function liveness is computed once per wave and only used to
-  // freeze the slices' out-of-region boundaries.
-  std::vector<std::unique_ptr<RegionTask>> Tasks;
+void scheduleRegionWavePrebuilt(TxContext &Ctx,
+                                std::vector<SchedRegion> Regions) {
+  // Size limits, then every slice of the wave before any region moves
+  // code.  The whole-function liveness is computed once per wave and only
+  // used to freeze the slices' out-of-region boundaries.
+  std::vector<RegionSlice> Slices;
   Liveness WaveLV;
   bool HaveWaveLV = false;
   for (SchedRegion &R : Regions) {
@@ -266,25 +363,15 @@ void scheduleRegionWavePrebuilt(
       WaveLV = Liveness::compute(Ctx.F);
       HaveWaveLV = true;
     }
-    auto T = std::make_unique<RegionTask>();
-    T->LoopIdx = R.loopIndex();
-    T->Slice = RegionSlice::build(Ctx.F, std::move(R), WaveLV);
-    Tasks.push_back(std::move(T));
+    Slices.push_back(RegionSlice::build(Ctx.F, std::move(R), WaveLV));
   }
-  if (Tasks.empty())
+  if (Slices.empty())
     return;
 
   const unsigned WaveNo = Ctx.Stats.RegionWaves;
   obs::TraceSpan WaveSpan("wave", "region", "wave",
                           static_cast<int64_t>(WaveNo), "tasks",
-                          static_cast<int64_t>(Tasks.size()));
-
-  // Earlier transforms (unroll, rotate, prior waves' commits) moved code
-  // since the cache last saw this function; start a fresh facts epoch.
-  // Within the wave the facts stay exact: every task builds its PDG
-  // before any motion, when its private fork still equals the wave base.
-  if (Ctx.Cache)
-    Ctx.Cache->noteFunctionChanged();
+                          static_cast<int64_t>(Slices.size()));
 
   GlobalSchedOptions GOpts;
   GOpts.Level = Ctx.Opts.Level;
@@ -295,282 +382,20 @@ void scheduleRegionWavePrebuilt(
   GOpts.Incremental = Ctx.Opts.Incremental;
   GOpts.Cache = Ctx.Cache;
 
-#ifndef GIS_SLOWPATH_CHECK
-  // Single-task fast path (DESIGN.md section 15): schedule the region in
-  // place instead of forking the wave base and copying the private result
-  // back.  Rollback is guarded by a region snapshot and verification by
-  // the block-scoped verifier reading the pre-pass state from a capture;
-  // the commit/rollback bookkeeping below mirrors the forked merge
-  // exactly, and with one task the register-renumbering merge is the
-  // identity, so the output is bit-identical to the forked path (the
-  // GIS_SLOWPATH_CHECK build always takes the forked path and dual-runs
-  // both verifiers to enforce that).  Level None would return before the
-  // PDG export, and the oracle needs the complete pre-pass function, so
-  // both fall through to the forked path.
-  if (Tasks.size() == 1 && Ctx.Opts.Incremental &&
-      Ctx.Opts.Level != SchedLevel::None &&
-      !(Ctx.Opts.EnableOracle && Ctx.Opts.OracleModule)) {
-    RegionTask &T = *Tasks.front();
-    obs::TraceSpan RegionSpan("region", "region", "loop",
-                              static_cast<int64_t>(T.LoopIdx), "wave",
-                              static_cast<int64_t>(WaveNo));
-    auto Start = std::chrono::steady_clock::now();
-    GlobalScheduler GS(Ctx.MD, GOpts);
-    Status S;
-    obs::SchedSink Sink;
-    if (Ctx.Opts.CollectCounters)
-      Sink.Counters = &T.Delta.Counters;
-    if (Ctx.Opts.CollectDecisions)
-      Sink.Decisions = &T.Delta.Decisions;
-
-    const bool WantScoped = Transactional && Ctx.Opts.VerifySemantic;
-    ScopedVerifyContext VCtx;
-    if (WantScoped)
-      VCtx = ScopedVerifyContext::capture(Ctx.F, T.Slice.region());
-    std::unique_ptr<RegionSnapshot> Snap;
-    if (Transactional)
-      Snap = std::make_unique<RegionSnapshot>(Ctx.F, T.Slice.blocks());
-
-    PDG P;
-    T.Delta.Global += GS.scheduleRegion(Ctx.F, T.Slice.region(),
-                                        Transactional ? &S : nullptr,
-                                        &T.Slice, Sink,
-                                        WantScoped ? &P : nullptr);
-    if (Transactional) {
-      if (!S.isOk())
-        ++T.EngFailures;
-      if (S.isOk() && FaultInjector::instance().shouldFire("region") &&
-          corruptRegionForTest(Ctx.F, T.Slice.blocks()))
-        T.FaultInjected = true;
-      if (S.isOk() && Ctx.Opts.VerifyStructural) {
-        std::vector<std::string> Problems = verifyFunction(Ctx.F);
-        if (!Problems.empty()) {
-          S = Status::error(ErrorCode::VerifierStructural, Problems.front());
-          ++T.VerFailures;
-        }
-      }
-      if (S.isOk() && Ctx.Opts.VerifySemantic) {
-        ScopedVerifyStats VS;
-        std::vector<std::string> Problems = verifyRegionScheduleScoped(
-            VCtx, *Snap, Ctx.F, T.Slice.region(), Ctx.MD, P, &VS);
-        if (Ctx.Opts.CollectCounters) {
-          T.Delta.Counters.bump(obs::ColdVerifyBlocksScoped,
-                                VS.BlocksVerified);
-          T.Delta.Counters.bump(obs::ColdVerifyBlocksTotal, VS.BlocksTotal);
-        }
-        if (!Problems.empty()) {
-          S = Status::error(ErrorCode::VerifierSemantic, Problems.front());
-          ++T.VerFailures;
-        }
-      }
-    } else if (!S.isOk()) {
-      // Unreachable: with Err == nullptr scheduleRegion aborts on failure
-      // (the historical fail-fast contract).
-      fatalError(__FILE__, __LINE__, S.str().c_str());
-    }
-    T.Seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
-            .count();
-
-    if (Transactional)
-      ++Ctx.Stats.TransactionsRun;
-    Ctx.Stats.EngineFailures += T.EngFailures;
-    Ctx.Stats.VerifierFailures += T.VerFailures;
-    if (T.FaultInjected)
-      ++Ctx.Stats.FaultsInjected;
-    Ctx.Stats.RegionTimes.push_back({T.LoopIdx, WaveNo, T.Seconds});
-    if (!S.isOk()) {
-      // Region-local rollback, in place: restore the region's block lists,
-      // pool entries and the register counters from the snapshot.
-      Snap->restore(Ctx.F);
-      ++Ctx.Stats.RegionsRolledBack;
-      if (Ctx.Opts.CollectCounters)
-        Ctx.Stats.Counters.bump(obs::Rollbacks);
-      obs::Tracer::instance().instant("rollback", "tx", "loop",
-                                      static_cast<int64_t>(T.LoopIdx));
-      reportDiagnostic(Ctx.Stats.Diags, S, Ctx.F.name(), "region", T.LoopIdx);
-    } else {
-      for (obs::Decision &D : T.Delta.Decisions) {
-        D.LoopIdx = T.LoopIdx;
-        D.Wave = WaveNo;
-      }
-      Ctx.Stats += T.Delta;
-    }
-    ++Ctx.Stats.RegionWaves;
-    return;
-  }
-#endif // !GIS_SLOWPATH_CHECK
-
-  const Function Base = Ctx.F; // the wave's fork point
-
-  auto RunTask = [&](RegionTask &T) {
-    obs::TraceSpan RegionSpan("region", "region", "loop",
-                              static_cast<int64_t>(T.LoopIdx), "wave",
-                              static_cast<int64_t>(WaveNo));
-    auto Start = std::chrono::steady_clock::now();
-    T.Priv = Base;
-    GlobalScheduler GS(Ctx.MD, GOpts);
-    Status S;
-    obs::SchedSink Sink;
-    if (Ctx.Opts.CollectCounters)
-      Sink.Counters = &T.Delta.Counters;
-    if (Ctx.Opts.CollectDecisions)
-      Sink.Decisions = &T.Delta.Decisions;
-    // Reuse the PDG the scheduler built (exported pre-motion, so
-    // content-equal to one built on Base) for semantic verification.
-    // --no-incremental deliberately leaves it unused: the reference mode
-    // re-derives everything from scratch.
-    const bool UsePrebuilt =
-        Transactional && Ctx.Opts.VerifySemantic && Ctx.Opts.Incremental;
-#ifdef GIS_SLOWPATH_CHECK
-    const bool ExportPDG = Transactional && Ctx.Opts.VerifySemantic;
-    ScopedVerifyContext SlowCtx;
-    std::unique_ptr<RegionSnapshot> SlowSnap;
-    if (ExportPDG) {
-      SlowCtx = ScopedVerifyContext::capture(Base, T.Slice.region());
-      SlowSnap = std::make_unique<RegionSnapshot>(Base, T.Slice.blocks());
-    }
-#else
-    const bool ExportPDG = UsePrebuilt;
-#endif
-    PDG P;
-    T.Delta.Global += GS.scheduleRegion(T.Priv, T.Slice.region(),
-                                        Transactional ? &S : nullptr,
-                                        &T.Slice, Sink,
-                                        ExportPDG ? &P : nullptr);
-    if (Transactional) {
-      if (!S.isOk())
-        ++T.EngFailures;
-      if (S.isOk() && FaultInjector::instance().shouldFire("region") &&
-          corruptRegionForTest(T.Priv, T.Slice.blocks()))
-        T.FaultInjected = true;
-      if (S.isOk() && Ctx.Opts.VerifyStructural) {
-        std::vector<std::string> Problems = verifyFunction(T.Priv);
-        if (!Problems.empty()) {
-          S = Status::error(ErrorCode::VerifierStructural, Problems.front());
-          ++T.VerFailures;
-        }
-      }
-      if (S.isOk() && Ctx.Opts.VerifySemantic) {
-        std::vector<std::string> Problems =
-            verifyRegionSchedule(Base, T.Priv, T.Slice.region(), Ctx.MD,
-                                 UsePrebuilt ? &P : nullptr);
-#ifdef GIS_SLOWPATH_CHECK
-        // Dual-run: the block-scoped verifier must agree with the full
-        // sweep -- same verdict, byte-identical diagnostics.
-        std::vector<std::string> Scoped = verifyRegionScheduleScoped(
-            SlowCtx, *SlowSnap, T.Priv, T.Slice.region(), Ctx.MD, P);
-        if (Scoped != Problems)
-          fatalError(__FILE__, __LINE__,
-                     "slow-path check: scoped schedule verifier diverges "
-                     "from the full sweep");
-#endif
-        if (!Problems.empty()) {
-          S = Status::error(ErrorCode::VerifierSemantic, Problems.front());
-          ++T.VerFailures;
-        }
-      }
-      if (S.isOk() && Ctx.Opts.EnableOracle && Ctx.Opts.OracleModule) {
-        OracleOptions OOpts;
-        OOpts.MaxSteps = Ctx.Opts.OracleMaxSteps;
-        OracleReport Rep = runDifferentialOracle(*Ctx.Opts.OracleModule,
-                                                 Base, T.Priv, OOpts);
-        if (Rep.Verdict == OracleVerdict::Mismatch) {
-          S = Status::error(ErrorCode::OracleMismatch, Rep.Detail);
-          ++T.OracleFailures;
-        }
-      }
-    } else if (!S.isOk()) {
-      // Unreachable: with Err == nullptr scheduleRegion aborts on failure
-      // (the historical fail-fast contract).
-      fatalError(__FILE__, __LINE__, S.str().c_str());
-    }
-    T.S = S;
-    T.Seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
-            .count();
-  };
-
-  if (ThreadPool *Pool = PoolFor(Tasks.size())) {
-    for (auto &T : Tasks)
-      Pool->submit([&RunTask, &Task = *T] { RunTask(Task); });
-    Pool->waitIdle();
-  } else {
-    for (auto &T : Tasks)
-      RunTask(*T);
-  }
-
-  // Serial merge in region-index (construction) order: failure counters
-  // always, body statistics and the region patch only on commit.
-  const std::array<RegClass, 3> Classes = {RegClass::GPR, RegClass::FPR,
-                                           RegClass::CR};
-  std::array<unsigned, 3> BaseRegs;
-  for (unsigned C = 0; C != 3; ++C)
-    BaseRegs[C] = Base.numRegs(Classes[C]);
-  const unsigned Wave = Ctx.Stats.RegionWaves;
-  for (auto &TP : Tasks) {
-    RegionTask &T = *TP;
-    if (Transactional)
-      ++Ctx.Stats.TransactionsRun;
-    Ctx.Stats.EngineFailures += T.EngFailures;
-    Ctx.Stats.VerifierFailures += T.VerFailures;
-    Ctx.Stats.OracleMismatches += T.OracleFailures;
-    if (T.FaultInjected)
-      ++Ctx.Stats.FaultsInjected;
-    Ctx.Stats.RegionTimes.push_back({T.LoopIdx, Wave, T.Seconds});
-    if (!T.S.isOk()) {
-      // Region-local rollback: drop the private copy; siblings and the
-      // master function are untouched by construction.  The task's
-      // counters and decisions are dropped with it: observability reports
-      // committed work only.
-      ++Ctx.Stats.RegionsRolledBack;
-      if (Ctx.Opts.CollectCounters)
-        Ctx.Stats.Counters.bump(obs::Rollbacks);
-      obs::Tracer::instance().instant("rollback", "tx", "loop",
-                                      static_cast<int64_t>(T.LoopIdx));
-      reportDiagnostic(Ctx.Stats.Diags, T.S, Ctx.F.name(), "region",
-                       T.LoopIdx);
-      continue;
-    }
-    for (obs::Decision &D : T.Delta.Decisions) {
-      D.LoopIdx = T.LoopIdx;
-      D.Wave = Wave;
-    }
-    Ctx.Stats += T.Delta;
-    // Commit: copy the region's blocks into the master, renumbering the
-    // registers this task allocated (renames) into the master's counter
-    // space.  Task-order renumbering keeps the result independent of how
-    // the tasks interleaved.
-    std::array<unsigned, 3> MasterBase;
-    for (unsigned C = 0; C != 3; ++C)
-      MasterBase[C] = Ctx.F.numRegs(Classes[C]);
-    RegionSnapshot Patch(T.Priv, T.Slice.blocks());
-    Patch.applyTo(Ctx.F, [&](Reg R) {
-      unsigned C = static_cast<unsigned>(R.regClass());
-      if (R.index() < BaseRegs[C])
-        return R;
-      return Reg::make(R.regClass(), MasterBase[C] + (R.index() - BaseRegs[C]));
-    });
-    for (unsigned C = 0; C != 3; ++C) {
-      unsigned Fresh = T.Priv.numRegs(Classes[C]) - BaseRegs[C];
-      if (Fresh > 0)
-        Ctx.F.noteReg(Reg::make(Classes[C], MasterBase[C] + Fresh - 1));
-    }
-  }
+  for (const RegionSlice &Slice : Slices)
+    scheduleRegionTask(Ctx, Slice, GOpts, WaveNo);
   ++Ctx.Stats.RegionWaves;
 }
 
 /// Schedules one wave of mutually independent regions (\p LoopIdxs; -1 is
-/// the top-level region).  \p PoolFor returns the pool to dispatch on (or
-/// null to run inline) given the number of runnable tasks.
+/// the top-level region).
 void scheduleRegionWave(TxContext &Ctx, const LoopInfo &LI,
-                        const std::vector<int> &LoopIdxs,
-                        const std::function<ThreadPool *(size_t)> &PoolFor) {
+                        const std::vector<int> &LoopIdxs) {
   std::vector<SchedRegion> Regions;
   Regions.reserve(LoopIdxs.size());
   for (int LoopIdx : LoopIdxs)
     Regions.push_back(SchedRegion::build(Ctx.F, LI, LoopIdx));
-  scheduleRegionWavePrebuilt(Ctx, std::move(Regions), PoolFor);
+  scheduleRegionWavePrebuilt(Ctx, std::move(Regions));
 }
 
 } // namespace
@@ -579,8 +404,7 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
                                     const PipelineOptions &Opts) {
   PipelineStats Stats;
   // One disambiguation cache per pipeline run, shared by both global
-  // passes, the local pass and every --region-jobs task (DESIGN.md
-  // section 15).  --no-incremental runs fully uncached.
+  // passes, every region task and the local pass (DESIGN.md section 15).  --no-incremental runs fully uncached.
   DisambigCache DCache;
   TxContext Ctx{F, MD, Opts, Stats, Opts.Incremental ? &DCache : nullptr};
   obs::Tracer &Tr = obs::Tracer::instance();
@@ -595,14 +419,8 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
   // report folds into this run's statistics so rollbacks, faults and
   // diagnostics surface through the one channel.
   if (Opts.Opt.anyEnabled()) {
-    TransactionConfig TxCfg;
-    TxCfg.Enabled = Opts.EnableTransactions;
-    TxCfg.VerifyStructural = Opts.VerifyStructural;
-    TxCfg.EnableOracle = Opts.EnableOracle;
-    TxCfg.OracleModule = Opts.OracleModule;
-    TxCfg.OracleMaxSteps = Opts.OracleMaxSteps;
     opt::OptRunReport R = opt::runOptPasses(
-        F, MD, Opts.Opt, TxCfg,
+        F, MD, Opts.Opt, txConfig(Opts),
         Opts.CollectCounters ? &Stats.Counters : nullptr);
     Stats.Opt += R.Opt;
     Stats.TransactionsRun += R.TransactionsRun;
@@ -622,26 +440,6 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
     ++Stats.FunctionsSkippedIrreducible;
     GlobalEnabled = false;
   }
-
-  // The pool for region waves, created lazily for the first wave with two
-  // or more runnable regions.  The pipeline owns its own pool rather than
-  // borrowing the engine's: this run may itself be an engine task, and
-  // waitIdle() must not be called from inside a task of the same pool.
-  // With the oracle enabled region tasks run serially (the oracle
-  // interprets whole functions); wave semantics are kept either way, so
-  // the output does not depend on RegionJobs.
-  const unsigned RegionJobs =
-      Opts.RegionJobs == 0 ? ThreadPool::hardwareThreads() : Opts.RegionJobs;
-  std::unique_ptr<ThreadPool> RegionPool;
-  auto PoolFor = [&](size_t NumTasks) -> ThreadPool * {
-    if (RegionJobs <= 1 || NumTasks <= 1)
-      return nullptr;
-    if (Opts.EnableOracle && Opts.OracleModule)
-      return nullptr;
-    if (!RegionPool)
-      RegionPool = std::make_unique<ThreadPool>(RegionJobs);
-    return RegionPool.get();
-  };
 
   // Step 0: the Section 4.2 preprocessing -- rename block-local values so
   // register reuse does not manufacture anti/output dependences.  In the
@@ -710,7 +508,7 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
         if (isInnerLoop(LI, L))
           Inner.push_back(static_cast<int>(L));
       if (!Inner.empty())
-        scheduleRegionWave(Ctx, LI, Inner, PoolFor);
+        scheduleRegionWave(Ctx, LI, Inner);
     }
 
     // Step 3: rotate small inner loops.  As with unrolling, a rolled-back
@@ -777,7 +575,7 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
           Waves[Heights[L]].push_back(static_cast<int>(L));
       }
       for (const auto &[Height, Loops] : Waves)
-        scheduleRegionWave(Ctx, LI, Loops, PoolFor);
+        scheduleRegionWave(Ctx, LI, Loops);
     }
     // The function body region: with the two-level restriction it is
     // scheduled only when no loop nesting exceeds it (the body is then
@@ -791,7 +589,7 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
     }
     if (ScheduleTop) {
       obs::TraceSpan TopSpan("pass2", "stage");
-      scheduleRegionWave(Ctx, LI, {-1}, PoolFor);
+      scheduleRegionWave(Ctx, LI, {-1});
     }
 
     // Superblock formation (DESIGN.md section 16): pick hot chains by
@@ -892,7 +690,7 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
         if (Opts.CollectCounters)
           Stats.Counters.bump(obs::TraceSuperblocksScheduled, Regions.size());
         obs::TraceSpan SBSpan("superblocks", "stage");
-        scheduleRegionWavePrebuilt(Ctx, std::move(Regions), PoolFor);
+        scheduleRegionWavePrebuilt(Ctx, std::move(Regions));
       }
     }
 
@@ -1010,7 +808,7 @@ PipelineStats gis::schedulePipeline(Function &F, const MachineDescription &MD,
   // cache is shared across stages, so per-stage deltas would double
   // count); request totals are deterministic -- one facts and one
   // reachability request per region build -- so these are exact for
-  // every --region-jobs width like the rest of the registry.
+  // every --jobs width like the rest of the registry.
   if (Opts.CollectCounters && Ctx.Cache) {
     Stats.Counters.bump(obs::ColdDisambigCacheHits, DCache.hits());
     Stats.Counters.bump(obs::ColdDisambigCacheMisses, DCache.misses());

@@ -30,17 +30,12 @@
 /// scheduled concurrently (the engine widens its work unit to the module
 /// in that configuration).
 ///
-/// Region-level parallelism: with PipelineOptions::RegionJobs > 1 the two
-/// global scheduling passes dispatch independent regions of *one* function
-/// to an internal thread pool (never the engine's: a pipeline run may
-/// itself be an engine task, and blocking a pool on work queued to the
-/// same pool would deadlock).  Each region task schedules a private copy
-/// of the function forked from the wave start and the results are merged
-/// in region-index order, so the output is bit-identical for every
-/// RegionJobs value -- see the "Region-parallel scheduling" section of
-/// DESIGN.md.  With the oracle enabled, region tasks run serially (the
-/// oracle interprets whole functions); the wave-snapshot semantics are
-/// kept, so the output is still RegionJobs-invariant.
+/// Region waves: the two global scheduling passes group a function's
+/// regions into waves of mutually independent regions (the levels of the
+/// loop forest, inner loops first, as the paper orders them) and schedule
+/// each wave's regions one after another, in place, each as its own
+/// region-scoped transaction -- see the "Region waves" section of
+/// DESIGN.md.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -128,22 +123,13 @@ struct PipelineOptions {
   /// asserted by tests/superblock_test.cpp).
   unsigned TraceDupBudget = 64;
 
-  /// Worker threads for scheduling independent regions of one function
-  /// concurrently (gisc --region-jobs).  1 runs regions inline; 0 uses the
-  /// hardware thread count.  The scheduled output is bit-identical for
-  /// every value (asserted by tests/region_parallel_test.cpp), which is
-  /// also why the schedule cache deliberately leaves this field out of its
-  /// options fingerprint (engine/ScheduleCache.cpp).  Composes with
-  /// EngineOptions::Jobs: a batch may run up to Jobs x RegionJobs workers.
-  unsigned RegionJobs = 1;
-
   /// Incremental cold-path maintenance (DESIGN.md section 14): dirty-set
   /// liveness deltas, per-block D/CP refreshes and the engine's
   /// event-driven ready pool, instead of recomputing each from scratch.
   /// Emitted schedules are bit-identical either way (asserted by
   /// tests/coldpath_test.cpp and, pick by pick, by GIS_SLOWPATH_CHECK
   /// builds), which is why the schedule cache leaves this field out of
-  /// its options fingerprint, like RegionJobs (engine/ScheduleCache.cpp).
+  /// its options fingerprint (engine/ScheduleCache.cpp).
   /// gisc --no-incremental turns it off.
   bool Incremental = true;
 
@@ -242,9 +228,8 @@ struct PipelineStats {
   /// pass is enabled.
   opt::OptStats Opt;
 
-  /// Waves of the region dependence forest dispatched by the two global
-  /// scheduling passes (a wave's regions are mutually independent and may
-  /// run concurrently; see PipelineOptions::RegionJobs).
+  /// Waves of the region dependence forest scheduled by the global passes
+  /// and the superblock phase (a wave's regions are mutually independent).
   unsigned RegionWaves = 0;
   /// One record per region-scheduling task, in deterministic commit order.
   std::vector<RegionTime> RegionTimes;
@@ -272,7 +257,7 @@ struct PipelineStats {
   /// Observability counter registry (PipelineOptions::CollectCounters).
   /// Collected into per-task buffers and merged along the same
   /// deterministic commit paths as the rest of this struct, so every value
-  /// is exact -- identical for every --jobs/--region-jobs width, and
+  /// is exact -- identical for every --jobs width, and
   /// rolled-back work never counts.
   obs::CounterSet Counters;
   /// Per-pick decision log (PipelineOptions::CollectDecisions), in
